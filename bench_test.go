@@ -12,7 +12,6 @@ package streamfloat
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -119,40 +118,6 @@ func BenchmarkFig13Sampled_SpeedupEnergy(b *testing.B) {
 		if i == b.N-1 {
 			reportTable(b, t)
 		}
-	}
-}
-
-// BenchmarkFig13Workers measures the parallel event kernel: the Fig 13 sweep
-// with each simulation driven by 1, 2 and 4 shard workers. The sweep's own
-// fan-out is pinned to one simulation at a time so ns/op isolates
-// per-simulation scaling. Results are bit-identical across the
-// sub-benchmarks (TestWorkerDeterminism); only wall-clock moves. As in
-// production, par.Group clamps workers to GOMAXPROCS — spinning more
-// barrier workers than there are processors is never useful — so on hosts
-// with fewer cores than the requested count the sub-benchmarks degenerate
-// to the same drive; the reported effective-workers metric records the
-// clamp.
-func BenchmarkFig13Workers(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eff := w
-			if p := runtime.GOMAXPROCS(0); p < eff {
-				eff = p
-			}
-			b.ReportMetric(float64(eff), "effective-workers")
-			for i := 0; i < b.N; i++ {
-				opts := benchOpts()
-				opts.Parallelism = 1
-				opts.Workers = w
-				t, err := experiments.Fig13(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					reportTable(b, t)
-				}
-			}
-		})
 	}
 }
 

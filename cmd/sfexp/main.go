@@ -56,7 +56,6 @@ func run() (err error) {
 		benches   = flag.String("bench", "", "comma-separated benchmark subset (default: all 12)")
 		outPath   = flag.String("out", "", "write results to a file instead of stdout (with -fig all -csv: a directory)")
 		par       = flag.Int("par", 0, "parallel simulations (0 or negative = GOMAXPROCS)")
-		workers   = flag.Int("workers", 0, "parallel shard workers per simulation (results are bit-identical for every value; -par is derated so par x workers fits GOMAXPROCS)")
 		asCSV     = flag.Bool("csv", false, "emit CSV instead of an aligned table (with -fig all: one CSV per figure into -out)")
 		asJSON    = flag.Bool("json", false, "emit one machine-readable JSON report instead of aligned tables")
 		doSample  = flag.Bool("sample", false, "sampled simulation: estimate each point from a measured interval block (reported with 95% CIs)")
@@ -82,7 +81,7 @@ func run() (err error) {
 	// a bad value is a usage error now, not a surprise minutes into a sweep.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateSweepFlags(explicit, *workers, *sampleK, *sampleM); err != nil {
+	if err := validateSweepFlags(explicit, *sampleK, *sampleM); err != nil {
 		return err
 	}
 
@@ -110,7 +109,7 @@ func run() (err error) {
 		return err
 	}
 	opts := streamfloat.ExperimentOptions{
-		Scale: *scale, Parallelism: *par, Workers: *workers, Sanitize: sanMode,
+		Scale: *scale, Parallelism: *par, Sanitize: sanMode,
 		KeepGoing: *keepGoing, PointTimeout: *pointTO, StallTimeout: *stallTO,
 	}
 	if *doSample {
@@ -330,14 +329,11 @@ func run() (err error) {
 }
 
 // validateSweepFlags range-checks the sweep-shaping flags. explicit marks
-// flags the user actually passed: -workers and -sample-measure default to 0
-// meaning "auto-pick", so only explicit values are rejected for being
-// non-positive, while -sample-intervals must always be positive and the
-// measured block can never exceed the partition it samples from.
-func validateSweepFlags(explicit map[string]bool, workers, sampleK, sampleM int) error {
-	if explicit["workers"] && workers <= 0 {
-		return fmt.Errorf("-workers must be positive (got %d); omit it to derive from GOMAXPROCS", workers)
-	}
+// flags the user actually passed: -sample-measure defaults to 0 meaning
+// "auto-pick", so only an explicit value is rejected for being non-positive,
+// while -sample-intervals must always be positive and the measured block can
+// never exceed the partition it samples from.
+func validateSweepFlags(explicit map[string]bool, sampleK, sampleM int) error {
 	if sampleK <= 0 {
 		return fmt.Errorf("-sample-intervals must be positive (got %d)", sampleK)
 	}

@@ -16,15 +16,14 @@ import (
 // latency; per-line transient races are thereby serialized by the event
 // loop, which preserves message counts — the quantity the paper measures.
 func (s *System) bankHandle(bank int, la uint64, reqTile int, excl bool, l3kind stats.L3ReqKind, p *trace.LoadProbe, respond func(granted state, now event.Cycle)) {
-	st := s.stAt(bank)
-	s.engAt(bank).Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
-		st.L3Requests[l3kind]++
+	s.eng.Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
+		s.st.L3Requests[l3kind]++
 		l := s.banks[bank].lookup(la)
 		if s.tr != nil {
 			s.tr.CacheAccess(bank, 3, l != nil)
 		}
 		if l == nil {
-			st.L3Misses++
+			s.st.L3Misses++
 			if s.tr != nil {
 				s.tr.Emit(uint64(now), bank, trace.KindL3Miss, la, int64(reqTile), int64(l3kind))
 			}
@@ -34,7 +33,7 @@ func (s *System) bankHandle(bank int, la uint64, reqTile int, excl bool, l3kind 
 			}
 			s.dramFill(bank, la, func() {
 				if p != nil {
-					p.DRAMEnd = uint64(s.engAt(bank).Now())
+					p.DRAMEnd = uint64(s.eng.Now())
 				}
 				// Re-lookup: the fill installed the line.
 				if fresh := s.banks[bank].lookup(la); fresh != nil {
@@ -49,7 +48,7 @@ func (s *System) bankHandle(bank int, la uint64, reqTile int, excl bool, l3kind 
 			})
 			return
 		}
-		st.L3Hits++
+		s.st.L3Hits++
 		if p != nil && p.Level == trace.LevelMerged {
 			p.Level = trace.LevelL3
 		}
@@ -57,17 +56,6 @@ func (s *System) bankHandle(bank int, la uint64, reqTile int, excl bool, l3kind 
 		s.bankHitChecked(bank, l, la, reqTile, excl, respond)
 	})
 }
-
-// runInvAck sends the invalidation acknowledgement for a remote-sharer
-// drop: fired at the inv's arrival, so the ack is injected from the acking
-// tile's own execution context. Ref carries A=ackingTile, B=bank.
-func runInvAck(_ event.Cycle, ref event.Ref) {
-	s := ref.Obj.(*System)
-	s.mesh.SendCall(int(ref.A), int(ref.B), stats.ClassCtrlCoh, 0, runNopDeliver, event.Ref{})
-}
-
-// runNopDeliver is a delivery callback for pure-traffic messages.
-func runNopDeliver(event.Cycle, event.Ref) {}
 
 func grantFor(excl, exclusiveOK bool) state {
 	if excl {
@@ -91,24 +79,14 @@ func (s *System) bankHit(bank int, l *line, la uint64, reqTile int, excl bool, r
 		}
 		granted := stModified
 		upgrade := l.sharers&reqBit != 0
-		// Invalidate all other sharers (inv + ack pairs). Remote copies on
-		// other shards are dropped at the quantum barrier.
+		// Invalidate all other sharers (inv + ack pairs).
 		for t := 0; t < s.cfg.Tiles(); t++ {
 			if t == reqTile || l.sharers&(1<<uint(t)) == 0 {
 				continue
 			}
-			s.dropPrivate(bank, t, la)
-			if s.tileShard == nil {
-				s.mesh.Send(bank, t, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
-				s.mesh.Send(t, bank, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
-				continue
-			}
-			// Partitioned: the ack injection belongs to tile t's shard —
-			// issuing it here would touch t's engine and message pools from
-			// the bank's execution context. Ride the invalidation instead:
-			// the ack departs when the inv arrives at t.
-			s.mesh.SendCall(bank, t, stats.ClassCtrlCoh, 0, runInvAck,
-				event.Ref{Obj: s, A: int64(t), B: int64(bank)})
+			s.invalidatePrivate(t, la)
+			s.mesh.Send(bank, t, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
+			s.mesh.Send(t, bank, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
 		}
 		if owner >= 0 && owner != reqTile {
 			// Owner forwards the (possibly dirty) data to the requester.
@@ -162,7 +140,7 @@ func (s *System) bankHit(bank int, l *line, la uint64, reqTile int, excl bool, r
 // been accessed. A dirty copy also writes back to the bank.
 func (s *System) ownerForward(bank, owner int, la uint64, invalidate bool, then func(event.Cycle)) {
 	s.mesh.Send(bank, owner, stats.ClassCtrlCoh, 0, func(event.Cycle) {
-		s.engAt(owner).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
+		s.eng.Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
 			tc := s.tiles[owner]
 			dirty := false
 			if l2 := tc.l2.lookup(la); l2 != nil {
@@ -178,17 +156,9 @@ func (s *System) ownerForward(bank, owner int, la uint64, invalidate bool, then 
 				}
 			}
 			if dirty {
-				// Writeback to the bank so L3 holds the latest data (the
-				// directory bit flips at the barrier when the bank lives on
-				// another shard).
-				if s.tileShard == nil {
-					if dl := s.banks[bank].lookup(la); dl != nil {
-						dl.dirty = true
-					}
-				} else {
-					op := s.getCoh(owner)
-					op.s, op.bank, op.la = s, bank, la
-					s.deferCoh(owner, runBankDirty, op)
+				// Writeback to the bank so L3 holds the latest data.
+				if dl := s.banks[bank].lookup(la); dl != nil {
+					dl.dirty = true
 				}
 				s.mesh.Send(owner, bank, stats.ClassData, lineSize, func(event.Cycle) {})
 			}
@@ -207,18 +177,6 @@ func (s *System) invalidatePrivate(tile int, la uint64) {
 	if l2 := tc.l2.lookup(la); l2 != nil {
 		tc.l2.invalidate(l2)
 	}
-}
-
-// dropPrivate invalidates a tile's private copy on behalf of a bank:
-// immediately when unpartitioned, at the quantum barrier otherwise.
-func (s *System) dropPrivate(bank, tile int, la uint64) {
-	if s.tileShard == nil {
-		s.invalidatePrivate(tile, la)
-		return
-	}
-	op := s.getCoh(bank)
-	op.s, op.tile, op.la = s, tile, la
-	s.deferCoh(bank, runInvalidate, op)
 }
 
 // dramFill fetches la from memory into the bank, evicting an L3 victim
@@ -266,32 +224,15 @@ func (s *System) installL3(bank int, la uint64) {
 func (s *System) evictL3(bank int, victim *line) {
 	va := victim.addr
 	dirty := victim.dirty
-	s.traceEvict("l3", bank, victim, s.engAt(bank).Now())
+	s.traceEvict("l3", bank, victim, s.eng.Now())
 	if s.tr != nil {
 		var a int64
 		if dirty {
 			a = 1
 		}
-		s.tr.Emit(uint64(s.engAt(bank).Now()), bank, trace.KindL3Evict, va, a, int64(victim.owner))
+		s.tr.Emit(uint64(s.eng.Now()), bank, trace.KindL3Evict, va, a, int64(victim.owner))
 	}
-	if s.tileShard != nil {
-		// Partitioned: the owner probe and back-invalidations touch other
-		// tiles' private caches — run the whole flush at the quantum barrier.
-		op := s.getCoh(bank)
-		op.s, op.bank, op.tile, op.la, op.flag, op.bits = s, bank, int(victim.owner), va, dirty, victim.sharers
-		s.deferCoh(bank, runEvictL3Flush, op)
-		s.banks[bank].invalidate(victim)
-		return
-	}
-	s.evictL3Flush(bank, int(victim.owner), victim.sharers, va, dirty)
-	s.banks[bank].invalidate(victim)
-}
-
-// evictL3Flush performs the cross-tile part of a bank eviction: dirty-owner
-// writeback probe, inclusive back-invalidation of every private copy the
-// directory names, and the DRAM write if the line ends dirty.
-func (s *System) evictL3Flush(bank, owner int, sharers uint64, va uint64, dirty bool) {
-	if owner >= 0 {
+	if owner := int(victim.owner); owner >= 0 {
 		tc := s.tiles[owner]
 		if l2 := tc.l2.lookup(va); l2 != nil && (l2.dirty || l2.state == stModified) {
 			dirty = true
@@ -302,7 +243,7 @@ func (s *System) evictL3Flush(bank, owner int, sharers uint64, va uint64, dirty 
 		s.mesh.Send(owner, bank, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
 	}
 	for t := 0; t < s.cfg.Tiles(); t++ {
-		if sharers&(1<<uint(t)) == 0 {
+		if victim.sharers&(1<<uint(t)) == 0 {
 			continue
 		}
 		s.invalidatePrivate(t, va)
@@ -311,24 +252,10 @@ func (s *System) evictL3Flush(bank, owner int, sharers uint64, va uint64, dirty 
 	}
 	if dirty {
 		ctrlTile := s.dram.CtrlTile(s.dram.CtrlFor(va))
-		if s.tileShard == nil {
-			s.mesh.Send(bank, ctrlTile, stats.ClassData, lineSize, func(event.Cycle) {})
-			s.dram.Access(va, lineSize, true, func(event.Cycle) {})
-		} else {
-			// The controller's queue belongs to its hosting tile's shard;
-			// reserve bandwidth when the writeback message arrives there.
-			s.mesh.Send(bank, ctrlTile, stats.ClassData, lineSize, func(event.Cycle) {
-				s.dram.Access(va, lineSize, true, func(event.Cycle) {})
-			})
-		}
+		s.mesh.Send(bank, ctrlTile, stats.ClassData, lineSize, func(event.Cycle) {})
+		s.dram.Access(va, lineSize, true, func(event.Cycle) {})
 	}
-}
-
-// runEvictL3Flush is the barrier-op form of evictL3Flush.
-func runEvictL3Flush(_ event.Cycle, arg any) {
-	op := arg.(*cohOp)
-	op.s.evictL3Flush(op.bank, op.tile, op.bits, op.la, op.flag)
-	op.s.putCoh(op)
+	s.banks[bank].invalidate(victim)
 }
 
 // FloatRead services an SE_L3-issued stream read at a bank: a GetU access
@@ -339,9 +266,8 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 // available at the bank (used by the operands table to chain indirect
 // accesses); deliver fires once per destination at arrival.
 func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKind, payloadBytes int, onBankReady func(event.Cycle), deliver func(dst int, now event.Cycle)) {
-	st := s.stAt(bank)
-	s.engAt(bank).Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
-		st.L3Requests[l3kind]++
+	s.eng.Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
+		s.st.L3Requests[l3kind]++
 		l := s.banks[bank].lookup(la)
 		if s.chk != nil && l != nil {
 			// GetU must never touch the sharer vector or ownership (§IV-A):
@@ -362,7 +288,7 @@ func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKi
 		}
 		send := func() {
 			if onBankReady != nil {
-				onBankReady(s.engAt(bank).Now())
+				onBankReady(s.eng.Now())
 			}
 			s.mesh.Multicast(bank, dsts, stats.ClassData, payloadBytes, deliver)
 		}
@@ -370,30 +296,22 @@ func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKi
 			s.tr.CacheAccess(bank, 3, l != nil)
 		}
 		if l == nil {
-			st.L3Misses++
+			s.st.L3Misses++
 			if s.tr != nil {
 				s.tr.Emit(uint64(now), bank, trace.KindL3Miss, la, int64(dsts[0]), int64(l3kind))
 			}
 			s.dramFill(bank, la, send)
 			return
 		}
-		st.L3Hits++
+		s.st.L3Hits++
 		s.banks[bank].touch(l)
 		if o := int(l.owner); o >= 0 && !containsTile(dsts, o) {
 			// Another L2 owns the line: it forwards the data without
 			// changing its own state (Fig 12c).
 			s.mesh.Send(bank, o, stats.ClassCtrlCoh, 0, func(event.Cycle) {
-				s.engAt(o).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
+				s.eng.Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
 					if onBankReady != nil {
-						if s.tileShard == nil {
-							onBankReady(now)
-						} else {
-							// The ready hook mutates bank-side state (the
-							// operands table); partitioned, the owner copies
-							// the index data back so the hook fires in the
-							// bank's own execution context.
-							s.mesh.Send(o, bank, stats.ClassCtrlCoh, 0, onBankReady)
-						}
+						onBankReady(now)
 					}
 					s.mesh.Multicast(o, dsts, stats.ClassData, payloadBytes, deliver)
 				})

@@ -72,7 +72,7 @@ func (s *System) bankHitChecked(bank int, l *line, la uint64, reqTile int, excl 
 			ev = "getx"
 		}
 		s.chk.Trace(sanitize.Record{
-			Cycle: uint64(s.engAt(bank).Now()), Tile: reqTile, Comp: "l3dir", Event: ev,
+			Cycle: uint64(s.eng.Now()), Tile: reqTile, Comp: "l3dir", Event: ev,
 			Key: la, A: int64(l.sharers), B: int64(l.owner),
 		})
 		s.checkDirectoryLine(bank, la, l, "pre:"+ev)

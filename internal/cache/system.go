@@ -7,7 +7,6 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
-	"streamfloat/internal/par"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/trace"
@@ -68,98 +67,10 @@ type accessOp struct {
 
 var accessOpPool = sync.Pool{New: func() any { return new(accessOp) }}
 
-// getOp pops a pooled accessOp for an access issued at tile. Partitioned
-// machines use per-shard freelists (get and put both happen in the tile's
-// shard context, so no locking); unpartitioned machines keep the sync.Pool.
-func (s *System) getOp(tile int) *accessOp {
-	if s.tileShard == nil {
-		return accessOpPool.Get().(*accessOp)
-	}
-	si := s.shardIdx[tile]
-	free := s.opFree[si]
-	if n := len(free); n > 0 {
-		op := free[n-1]
-		s.opFree[si] = free[:n-1]
-		return op
-	}
-	return new(accessOp)
-}
-
-// putOp returns an op to its pool. Always called in op.tile's execution
-// context (the terminal stage of every access path runs at the issuing tile).
+// putOp returns an op to the pool.
 func (s *System) putOp(op *accessOp) {
-	if s.tileShard == nil {
-		*op = accessOp{} // drop done/probe references before pooling
-		accessOpPool.Put(op)
-		return
-	}
-	si := s.shardIdx[op.tile]
-	*op = accessOp{}
-	s.opFree[si] = append(s.opFree[si], op)
-}
-
-// cohOp is one deferred cross-tile coherence action (remote invalidation,
-// remote directory update, L3-eviction flush). Pooled per shard like
-// accessOp; si remembers the owning freelist.
-type cohOp struct {
-	s    *System
-	si   int
-	bank int
-	tile int
-	la   uint64
-	flag bool
-	bits uint64
-}
-
-func (s *System) getCoh(issueTile int) *cohOp {
-	si := s.shardIdx[issueTile]
-	free := s.cohFree[si]
-	if n := len(free); n > 0 {
-		op := free[n-1]
-		s.cohFree[si] = free[:n-1]
-		op.si = si
-		return op
-	}
-	return &cohOp{si: si}
-}
-
-func (s *System) putCoh(op *cohOp) {
-	si := op.si
-	*op = cohOp{}
-	s.cohFree[si] = append(s.cohFree[si], op)
-}
-
-// deferCoh logs op for execution at the quantum barrier, issued by
-// issueTile at its current cycle.
-func (s *System) deferCoh(issueTile int, call func(event.Cycle, any), op *cohOp) {
-	sh := s.tileShard[issueTile]
-	sh.Defer(sh.Eng.Now(), issueTile, call, op)
-}
-
-// Partition switches the hierarchy to sharded operation. Call once at
-// machine construction, before any accesses.
-func (s *System) Partition(tileShard []*par.Shard, shardIdx []int, numShards int) {
-	s.tileShard = tileShard
-	s.shardIdx = shardIdx
-	s.opFree = make([][]*accessOp, numShards)
-	s.cohFree = make([][]*cohOp, numShards)
-}
-
-// engAt returns the engine driving a tile's shard (the shared engine when
-// unpartitioned).
-func (s *System) engAt(tile int) *event.Engine {
-	if s.tileShard != nil {
-		return s.tileShard[tile].Eng
-	}
-	return s.eng
-}
-
-// stAt returns the stats shard a tile accumulates into.
-func (s *System) stAt(tile int) *stats.Stats {
-	if s.tileShard != nil {
-		return s.tileShard[tile].St
-	}
-	return s.st
+	*op = accessOp{} // drop done/probe references before pooling
+	accessOpPool.Put(op)
 }
 
 // Stage handlers for the fixed-payload scheduling form: one per pipeline
@@ -209,16 +120,6 @@ type System struct {
 
 	// fillMSHR merges concurrent DRAM fills per bank and line.
 	fillMSHR []map[uint64][]func()
-
-	// Partitioned execution (nil when unpartitioned). Each tile's private
-	// caches, MSHRs and its L3 bank are then owned by the tile's shard and
-	// touched only from its execution context; every cross-tile action (a
-	// directory update at a remote home bank, a remote private-copy
-	// invalidation) is deferred as a barrier op instead of applied inline.
-	tileShard []*par.Shard
-	shardIdx  []int
-	opFree    [][]*accessOp // per-shard accessOp freelists
-	cohFree   [][]*cohOp    // per-shard coherence-op freelists
 
 	// chk, when non-nil, attaches the sanitizer probes (see sanitize.go).
 	chk *sanitize.Checker
@@ -306,24 +207,23 @@ func LineAddr(addr uint64) uint64 { return addr &^ (lineSize - 1) }
 // complete silently.
 func (s *System) Access(tile int, addr uint64, kind Kind, meta Meta, done func(event.Cycle)) {
 	la := LineAddr(addr)
-	eng := s.engAt(tile)
 	// Demand/stream reads entering without a core-attached probe (SEcore
 	// fetches, pointer chases) still get latency attribution when tracing.
 	if s.tr != nil && meta.Probe == nil && done != nil && (kind == Read || kind == StreamRead) {
 		p := s.tr.Probe()
-		now := uint64(eng.Now())
+		now := uint64(s.eng.Now())
 		p.Enq, p.Issue = now, now
 		meta.Probe = p
 	}
-	op := s.getOp(tile)
+	op := accessOpPool.Get().(*accessOp)
 	*op = accessOp{s: s, tile: tile, addr: addr, la: la, kind: kind, meta: meta, done: done}
 	switch kind {
 	case PrefL2:
-		eng.ScheduleCall(event.Cycle(s.cfg.L2.LatCycles), runL2Prefetch, event.Ref{Obj: op})
+		s.eng.ScheduleCall(event.Cycle(s.cfg.L2.LatCycles), runL2Prefetch, event.Ref{Obj: op})
 	case Write:
-		eng.ScheduleCall(event.Cycle(s.cfg.L1.LatCycles), runStoreAfterL1, event.Ref{Obj: op})
+		s.eng.ScheduleCall(event.Cycle(s.cfg.L1.LatCycles), runStoreAfterL1, event.Ref{Obj: op})
 	default: // Read, PrefL1, StreamRead
-		eng.ScheduleCall(event.Cycle(s.cfg.L1.LatCycles), runLoadAfterL1, event.Ref{Obj: op})
+		s.eng.ScheduleCall(event.Cycle(s.cfg.L1.LatCycles), runLoadAfterL1, event.Ref{Obj: op})
 	}
 }
 
@@ -337,7 +237,6 @@ func (s *System) notifyDone(done func(event.Cycle), now event.Cycle) {
 func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 	tile, la, kind, meta := op.tile, op.la, op.kind, op.meta
 	tc := s.tiles[tile]
-	st := s.stAt(tile)
 	demand := kind == Read || kind == StreamRead
 	l := tc.l1.lookup(la)
 	if s.l1Observer != nil && demand {
@@ -345,7 +244,7 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 	}
 	if l != nil {
 		if demand {
-			st.L1Hits++
+			s.st.L1Hits++
 			s.demandHitLine(tile, l)
 			tc.l1.touch(l)
 			if s.tr != nil {
@@ -362,7 +261,7 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 		return
 	}
 	if demand {
-		st.L1Misses++
+		s.st.L1Misses++
 		if s.tr != nil {
 			s.tr.CacheAccess(tile, 1, false)
 			s.tr.Emit(uint64(now), tile, trace.KindL1Miss, la, int64(meta.StreamID), 0)
@@ -372,7 +271,7 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 		p.L1Done = uint64(now)
 	}
 	// L1 miss: continue to L2 after its lookup latency.
-	s.engAt(tile).ScheduleCall(event.Cycle(s.cfg.L2.LatCycles), runLoadAfterL2, event.Ref{Obj: op})
+	s.eng.ScheduleCall(event.Cycle(s.cfg.L2.LatCycles), runLoadAfterL2, event.Ref{Obj: op})
 }
 
 // demandHitLine updates reuse/prefetch/stream bookkeeping when a demand
@@ -380,7 +279,7 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 func (s *System) demandHitLine(tile int, l *line) {
 	if l.pf {
 		l.pf = false
-		s.stAt(tile).PrefetchUseful++
+		s.st.PrefetchUseful++
 	}
 	if !l.reused {
 		l.reused = true
@@ -393,7 +292,6 @@ func (s *System) demandHitLine(tile int, l *line) {
 func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 	tile, la, kind, meta := op.tile, op.la, op.kind, op.meta
 	tc := s.tiles[tile]
-	st := s.stAt(tile)
 	demand := kind == Read || kind == StreamRead
 	p := meta.Probe
 	if p != nil {
@@ -402,7 +300,7 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 	l := tc.l2.lookup(la)
 	if l != nil && l.state != stInvalid {
 		if demand {
-			st.L2Hits++
+			s.st.L2Hits++
 			s.demandHitLine(tile, l)
 			tc.l2.touch(l)
 			if s.tr != nil {
@@ -421,7 +319,7 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 		return
 	}
 	if demand {
-		st.L2Misses++
+		s.st.L2Misses++
 		if s.l2MissObserver != nil {
 			s.l2MissObserver(tile, la, meta.PC)
 		}
@@ -449,7 +347,6 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 	tile, la, meta := op.tile, op.la, op.meta
 	tc := s.tiles[tile]
-	st := s.stAt(tile)
 	l1 := tc.l1.lookup(la)
 	if s.l1Observer != nil {
 		s.l1Observer(tile, op.addr, meta.PC, l1 != nil)
@@ -457,7 +354,7 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 	l2 := tc.l2.lookup(la)
 	if l2 != nil && (l2.state == stModified || l2.state == stExclusive) {
 		// Writable locally: E upgrades to M silently.
-		st.L1Hits++ // store hit from the pipeline's perspective
+		s.st.L1Hits++ // store hit from the pipeline's perspective
 		if s.tr != nil {
 			s.tr.CacheAccess(tile, 1, true)
 		}
@@ -477,18 +374,18 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 		s.putOp(op)
 		return
 	}
-	st.L1Misses++
+	s.st.L1Misses++
 	if s.tr != nil {
 		s.tr.CacheAccess(tile, 1, false)
 	}
 	// Needs ownership: S upgrade or full RFO miss.
 	if l2 != nil && l2.state == stShared {
-		st.L2Hits++
+		s.st.L2Hits++
 		if s.tr != nil {
 			s.tr.CacheAccess(tile, 2, true)
 		}
 	} else {
-		st.L2Misses++
+		s.st.L2Misses++
 		if s.l2MissObserver != nil {
 			s.l2MissObserver(tile, la, meta.PC)
 		}
@@ -515,7 +412,7 @@ func (s *System) l2Prefetch(tile int, la uint64, meta Meta) {
 		return // demand or another prefetch already fetching
 	}
 	tc.mshr[la] = nil
-	s.stAt(tile).PrefetchIssued++
+	s.st.PrefetchIssued++
 	s.fetch(tile, la, false, stats.L3CoreNormal, meta, PrefL2)
 }
 
@@ -533,7 +430,7 @@ func (s *System) PrefetchBulkL2(tile int, bank int, lineAddrs []uint64, meta Met
 			continue
 		}
 		tc.mshr[la] = nil
-		s.stAt(tile).PrefetchIssued++
+		s.st.PrefetchIssued++
 		todo = append(todo, la)
 	}
 	if len(todo) == 0 {
@@ -555,7 +452,7 @@ func (s *System) PrefetchBulkL2(tile int, bank int, lineAddrs []uint64, meta Met
 func (s *System) fetch(tile int, la uint64, excl bool, l3kind stats.L3ReqKind, meta Meta, kind Kind) {
 	bank := s.cfg.HomeBank(la)
 	if kind == PrefL1 || kind == PrefL2 {
-		s.stAt(tile).PrefetchIssued++
+		s.st.PrefetchIssued++
 	}
 	s.mesh.Send(tile, bank, stats.ClassCtrlReq, 8, func(now event.Cycle) {
 		if p := meta.Probe; p != nil {
@@ -652,9 +549,8 @@ func (s *System) evictL1(tile int, victim *line) {
 func (s *System) evictL2(tile int, victim *line) {
 	va := victim.addr
 	home := s.cfg.HomeBank(va)
-	st := s.stAt(tile)
 	dirty := victim.dirty || victim.state == stModified
-	s.traceEvict("l2", tile, victim, s.engAt(tile).Now())
+	s.traceEvict("l2", tile, victim, s.eng.Now())
 	if s.tr != nil {
 		var a, b int64
 		if dirty {
@@ -663,22 +559,22 @@ func (s *System) evictL2(tile int, victim *line) {
 		if victim.reused {
 			b = 1
 		}
-		s.tr.Emit(uint64(s.engAt(tile).Now()), tile, trace.KindL2Evict, va, a, b)
+		s.tr.Emit(uint64(s.eng.Now()), tile, trace.KindL2Evict, va, a, b)
 	}
 
-	st.L2Evictions++
+	s.st.L2Evictions++
 	if !dirty && !victim.reused {
-		st.L2EvictCleanNoReuse++
+		s.st.L2EvictCleanNoReuse++
 		if victim.stream {
-			st.L2EvictCleanNoReuseStream++
+			s.st.L2EvictCleanNoReuseStream++
 		}
 		// Fig 2b attribution: the flit-hops spent caching this line for
 		// nothing — the original request and data response plus this
 		// eviction notification.
 		hops := uint64(s.mesh.Hops(tile, home))
 		dataFlits := uint64(s.mesh.Flits(lineSize))
-		st.UnreusedCtrlFlitHops += 2 * hops // GetS request + PutS
-		st.UnreusedDataFlitHops += dataFlits * hops
+		s.st.UnreusedCtrlFlitHops += 2 * hops // GetS request + PutS
+		s.st.UnreusedDataFlitHops += dataFlits * hops
 	}
 
 	// Back-invalidate the L1 copy (merging its dirty data first).
@@ -689,15 +585,9 @@ func (s *System) evictL2(tile int, victim *line) {
 		s.tiles[tile].l1.invalidate(l1)
 	}
 
-	// Directory update is applied immediately (at the barrier when the home
-	// bank lives on another shard); the message models traffic and occupancy.
-	if s.tileShard == nil {
-		s.applyDirUpdate(home, va, tile, dirty)
-	} else {
-		op := s.getCoh(tile)
-		op.s, op.bank, op.tile, op.la, op.flag = s, home, tile, va, dirty
-		s.deferCoh(tile, runDirUpdate, op)
-	}
+	// Directory update is applied immediately; the message models traffic
+	// and occupancy.
+	s.applyDirUpdate(home, va, tile, dirty)
 	if dirty {
 		if s.l2DirtyEvict != nil {
 			s.l2DirtyEvict(tile, va)
@@ -720,29 +610,4 @@ func (s *System) applyDirUpdate(home int, va uint64, tile int, dirty bool) {
 			dl.dirty = true
 		}
 	}
-}
-
-// runDirUpdate is the barrier-op form of applyDirUpdate.
-func runDirUpdate(_ event.Cycle, arg any) {
-	op := arg.(*cohOp)
-	op.s.applyDirUpdate(op.bank, op.la, op.tile, op.flag)
-	op.s.putCoh(op)
-}
-
-// runInvalidate is the barrier-op form of invalidatePrivate: a bank drops a
-// remote tile's private copy.
-func runInvalidate(_ event.Cycle, arg any) {
-	op := arg.(*cohOp)
-	op.s.invalidatePrivate(op.tile, op.la)
-	op.s.putCoh(op)
-}
-
-// runBankDirty marks a remote home-bank directory entry dirty (owner
-// writeback in flight).
-func runBankDirty(_ event.Cycle, arg any) {
-	op := arg.(*cohOp)
-	if dl := op.s.banks[op.bank].lookup(op.la); dl != nil {
-		dl.dirty = true
-	}
-	op.s.putCoh(op)
 }

@@ -253,9 +253,6 @@ func (c *Client) DoPoint(ctx context.Context, key string, cfg config.Config, ben
 			cfg.Sanitize = sanitize.ModeOff
 		}
 	}
-	// cfg.Workers rides along verbatim: it is outside the canonical key, so
-	// the backend runs the same simulation however many shard workers drive
-	// it (see serve.JobRequest.Workers for per-backend overrides).
 	job := serve.JobRequest{Config: &cfg, Benchmark: bench, Scale: scale}
 
 	order := c.ring.successors(key)

@@ -9,16 +9,18 @@ import (
 // encoding below changes meaning (field added, removed, reordered, or a
 // semantic change to an existing field): stale on-disk cache entries then
 // simply stop matching instead of serving wrong results.
-const canonicalVersion = 2
+//
+// Version 3 retired the partitioned event kernel: results of unsanitized
+// machines with 16 or more tiles changed under unchanged configurations, so
+// entries written by version 2 must not be served.
+const canonicalVersion = 3
 
 // CanonicalFieldCount is the number of top-level Config fields the canonical
 // encoding accounts for. A test asserts it against reflect.TypeOf(Config{}).
 // NumField() so that adding a Config field without extending CanonicalBytes
 // (or deliberately excluding it below) fails loudly rather than silently
-// aliasing distinct configurations. Workers is counted here but excluded
-// from the encoding: it is an execution knob with bit-identical results for
-// every value, so runs at different worker counts share one cache key.
-const CanonicalFieldCount = 27
+// aliasing distinct configurations. Every field is encoded.
+const CanonicalFieldCount = 26
 
 // CanonicalBytes returns a deterministic, version-tagged binary encoding of
 // every simulation-affecting Config field. Two configurations produce the
@@ -89,8 +91,5 @@ func (c Config) CanonicalBytes() []byte {
 	i(sp.Measure)
 	u(uint64(sp.Seed))
 	u(uint64(sp.Warmup))
-	// Workers is intentionally not encoded: the partitioned event kernel
-	// produces bit-identical results for every worker count (see
-	// internal/par), so the knob must not fragment the result cache.
 	return buf
 }

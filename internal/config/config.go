@@ -190,13 +190,6 @@ type Config struct {
 	// counters — so its parameters are part of the canonical encoding and
 	// the cache key.
 	Sample SampleParams
-
-	// Workers is the number of goroutines driving the partitioned event
-	// kernel (internal/par): 0 or 1 runs single-threaded, higher values
-	// parallelize large meshes across tile shards. It is purely an
-	// execution knob — results are bit-identical for every value — so it is
-	// deliberately NOT part of the canonical encoding or the cache key.
-	Workers int
 }
 
 // SampleParams selects sampled simulation: each phase's iteration space is
@@ -418,9 +411,6 @@ func (c Config) Validate() error {
 	}
 	if c.ConfluenceBlock <= 0 {
 		return errors.New("config: ConfluenceBlock must be positive")
-	}
-	if c.Workers < 0 {
-		return errors.New("config: Workers must be non-negative")
 	}
 	if !c.Sanitize.Valid() {
 		return fmt.Errorf("config: Sanitize mode %d out of range", int(c.Sanitize))

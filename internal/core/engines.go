@@ -10,7 +10,6 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
-	"streamfloat/internal/par"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/trace"
@@ -54,16 +53,7 @@ type Engines struct {
 	l3s   []*seL3
 
 	// registry locates the SE_L3 currently running each floated stream.
-	// Under a partitioned machine the registry is only touched at quantum
-	// barriers: configuration, credit and end deliveries defer their
-	// registry work, and streams defer their own unregistration, so the map
-	// never sees concurrent access from two bank shards.
 	registry map[streamKey]*l3Stream
-
-	// Partitioned execution (nil when unpartitioned): the shard driving
-	// each tile, for routing engine scheduling and stats to the tile's
-	// shard and deferring cross-shard effects to the quantum barrier.
-	tileShard []*par.Shard
 
 	// san, when non-nil, attaches the sanitizer probes (see sanitize.go).
 	san *sanitize.Checker
@@ -98,71 +88,14 @@ func NewEngines(eng *event.Engine, st *stats.Stats, cfg config.Config, mesh *noc
 	return e
 }
 
-// Partition switches the engines to sharded operation: tileShard[t] is the
-// shard driving tile t. Cross-shard interactions (registry routing, stream
-// sinking from remote writes) then run at quantum barriers.
-func (e *Engines) Partition(tileShard []*par.Shard) {
-	e.tileShard = tileShard
-}
-
-// engAt returns the engine driving a tile's events.
-func (e *Engines) engAt(tile int) *event.Engine {
-	if e.tileShard == nil {
-		return e.eng
-	}
-	return e.tileShard[tile].Eng
-}
-
-// stAt returns the stats shard a tile's counters accrue into.
-func (e *Engines) stAt(tile int) *stats.Stats {
-	if e.tileShard == nil {
-		return e.st
-	}
-	return e.tileShard[tile].St
-}
-
-// sharded reports whether the machine is partitioned.
-func (e *Engines) sharded() bool { return e.tileShard != nil }
-
-// deferAt queues a barrier op from tile's execution context (tile must
-// belong to the shard currently executing, or the call must come from
-// barrier context, where any shard's log is safe to append to).
-func (e *Engines) deferAt(tile int, call func(event.Cycle, any), arg any) {
-	sh := e.tileShard[tile]
-	sh.Defer(sh.Eng.Now(), tile, call, arg)
-}
-
-// grainOp carries one §V-B range check to the quantum barrier.
-type grainOp struct {
-	e      *Engines
-	bank   int
-	la     uint64
-	writer int
-}
-
-func runGrainCheck(_ event.Cycle, arg any) {
-	op := arg.(*grainOp)
-	op.e.streamGrainCheck(op.bank, op.la, op.writer)
-}
-
-// checkStreamGrain is the bank-write observer: it sweeps the stream
-// registry for ranges covering the written line. The sweep reads remote
-// stream and core state, so a partitioned machine runs it at the barrier.
+// checkStreamGrain is the bank-write observer implementing the §V-B range
+// check: a write that lands inside a floated stream's accessed range (from
+// another core) invalidates the stream, which sinks and re-executes at its
+// core. False positives from the conservative base/bound ranges are
+// possible and safe — they only cost a sink. (The directory consults the
+// stream registry directly; in hardware each visited SE_L3 keeps the range
+// registers until deallocation.)
 func (e *Engines) checkStreamGrain(bank int, lineAddr uint64, writerTile int) {
-	if e.sharded() {
-		e.deferAt(bank, runGrainCheck, &grainOp{e: e, bank: bank, la: lineAddr, writer: writerTile})
-		return
-	}
-	e.streamGrainCheck(bank, lineAddr, writerTile)
-}
-
-// streamGrainCheck implements the §V-B range check: a write that lands
-// inside a floated stream's accessed range (from another core) invalidates
-// the stream, which sinks and re-executes at its core. False positives from
-// the conservative base/bound ranges are possible and safe — they only cost
-// a sink. (The directory consults the stream registry directly; in hardware
-// each visited SE_L3 keeps the range registers until deallocation.)
-func (e *Engines) streamGrainCheck(bank int, lineAddr uint64, writerTile int) {
 	var hit []*l3Stream
 	for _, s := range e.registry {
 		if s.dead || s.reqTile == writerTile || s.group.dead {
@@ -184,7 +117,7 @@ func (e *Engines) streamGrainCheck(bank int, lineAddr uint64, writerTile int) {
 		return cmp.Compare(a.key.gen, b.key.gen)
 	})
 	for _, s := range hit {
-		e.stAt(bank).StreamInvalidations++
+		e.st.StreamInvalidations++
 		e.cores[s.reqTile].sinkStream(s.group.owner, true)
 	}
 }
@@ -228,56 +161,6 @@ func (e *Engines) unregister(key streamKey) { delete(e.registry, key) }
 
 // lookup finds a floated stream, or nil if it has completed.
 func (e *Engines) lookup(key streamKey) *l3Stream { return e.registry[key] }
-
-// The delivery callbacks below land at a bank inside its shard's window but
-// need the registry (or remote group state); each defers the real work to
-// the quantum barrier when the machine is partitioned.
-
-// cfgOp carries a configuration-packet delivery to the barrier.
-type cfgOp struct {
-	b         *seL3
-	g         *l2Group
-	startElem int64
-	startSeq  int64
-	credits   int
-}
-
-func runAddStream(_ event.Cycle, arg any) {
-	op := arg.(*cfgOp)
-	op.b.addStream(op.g, op.startElem, op.startSeq, op.credits)
-}
-
-// creditOp carries a credit-message delivery to the barrier.
-type creditOp struct {
-	e     *Engines
-	key   streamKey
-	level int
-}
-
-func runAddCredits(_ event.Cycle, arg any) {
-	op := arg.(*creditOp)
-	if s := op.e.lookup(op.key); s != nil {
-		s.addCredits(op.level)
-	}
-}
-
-// termOp carries an end-message delivery to the barrier.
-type termOp struct {
-	e   *Engines
-	key streamKey
-}
-
-func runTerminate(_ event.Cycle, arg any) {
-	op := arg.(*termOp)
-	if s := op.e.lookup(op.key); s != nil {
-		s.terminate()
-	}
-}
-
-func runUnregister(_ event.Cycle, arg any) {
-	s := arg.(*l3Stream)
-	s.eng.unregister(s.key)
-}
 
 // Debug dumps the live stream-engine state (deadlock diagnostics).
 func (e *Engines) Debug() string {

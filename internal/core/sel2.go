@@ -54,11 +54,6 @@ type l2Group struct {
 	lastCredit int64
 	dead       bool
 
-	// deadR mirrors dead for readers at remote banks. On a partitioned
-	// machine it is set by a barrier op (bank-side windows only ever read
-	// it between barriers); unpartitioned it tracks dead exactly.
-	deadR bool
-
 	// onArrive, when set, fires with each arriving line's element range
 	// (drives unfloated indirect children in SF-Aff mode).
 	onArrive func(elemLo, elemHi int64)
@@ -77,8 +72,7 @@ type seL2 struct {
 	groups map[streamKey]*l2Group
 
 	// gen disambiguates reconfigurations of the same (tile, sid). Per-tile
-	// so configuration order across tiles (which is shard-schedule-
-	// dependent on a partitioned machine) never leaks into stream keys.
+	// so configuration order across tiles never leaks into stream keys.
 	gen uint64
 }
 
@@ -149,15 +143,13 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	if first == nil {
 		// Nothing left to float.
 		g.dead = true
-		g.deadR = true
 		delete(l.groups, g.key)
 		return g
 	}
 	l.e.sanTrace(l.tile, "sel2", "cfg", sanStreamKey(g.key.tile, g.key.sid), startElem, g.granted)
 	l.sanCheckCredits(g)
-	st := l.e.stAt(l.tile)
-	st.StreamConfigs++
-	st.TLBTranslations++
+	l.e.st.StreamConfigs++
+	l.e.st.TLBTranslations++
 	bank := l.e.cfg.HomeBank(first.addr)
 	payload := stream.ConfigBytes(len(children))
 	l.sanCheckWire(g, startElem, payload)
@@ -165,15 +157,7 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	startSeq := first.seq
 	credits := int(g.granted)
 	l.e.mesh.Send(l.tile, bank, stats.ClassStream, payload, func(event.Cycle) {
-		b3 := l.e.l3s[bank]
-		if l.e.sharded() {
-			// addStream reads this tile's group state and the registry:
-			// barrier work on a partitioned machine.
-			l.e.deferAt(bank, runAddStream,
-				&cfgOp{b: b3, g: g, startElem: startElem, startSeq: startSeq, credits: credits})
-			return
-		}
-		b3.addStream(g, startElem, startSeq, credits)
+		l.e.l3s[bank].addStream(g, startElem, startSeq, credits)
 	})
 	return g
 }
@@ -215,14 +199,14 @@ func (l *seL2) arrive(g *l2Group, seq int64) {
 	if b == nil || b.gone {
 		return
 	}
-	l.e.stAt(l.tile).SEL2Accesses++
+	l.e.st.SEL2Accesses++
 	if l.e.tr != nil {
-		l.e.tr.Emit(uint64(l.e.engAt(l.tile).Now()), l.tile, trace.KindSEL2Arrive,
+		l.e.tr.Emit(uint64(l.e.eng.Now()), l.tile, trace.KindSEL2Arrive,
 			trace.StreamKey(g.key.tile, g.key.sid), seq, int64(g.buffered))
 	}
 	b.arrived = true
 	for _, w := range b.waiters {
-		l.e.engAt(l.tile).Schedule(2, w)
+		l.e.eng.Schedule(2, w)
 	}
 	b.waiters = nil
 	if g.onArrive != nil {
@@ -322,8 +306,8 @@ func (l *seL2) requestByAddr(g *l2Group, addr uint64, cb func(event.Cycle)) bool
 
 func (l *seL2) serveLine(b *bufLine, cb func(event.Cycle)) {
 	if b.arrived {
-		l.e.stAt(l.tile).SEL2Accesses++
-		l.e.engAt(l.tile).Schedule(l.hitLatency(), cb)
+		l.e.st.SEL2Accesses++
+		l.e.eng.Schedule(l.hitLatency(), cb)
 		return
 	}
 	b.waiters = append(b.waiters, cb)
@@ -344,8 +328,8 @@ func (l *seL2) requestIndirect(g *l2Group, childSid int, idx int64, cb func(even
 		states[idx] = st
 	}
 	if st.arrived {
-		l.e.stAt(l.tile).SEL2Accesses++
-		l.e.engAt(l.tile).Schedule(l.hitLatency(), cb)
+		l.e.st.SEL2Accesses++
+		l.e.eng.Schedule(l.hitLatency(), cb)
 		return true
 	}
 	st.waiters = append(st.waiters, cb)
@@ -366,10 +350,10 @@ func (l *seL2) indirectArrive(g *l2Group, childSid int, idx int64) {
 		st = &indState{}
 		states[idx] = st
 	}
-	l.e.stAt(l.tile).SEL2Accesses++
+	l.e.st.SEL2Accesses++
 	st.arrived = true
 	for _, w := range st.waiters {
-		l.e.engAt(l.tile).Schedule(2, w)
+		l.e.eng.Schedule(2, w)
 	}
 	st.waiters = nil
 }
@@ -414,18 +398,12 @@ func (l *seL2) releaseLeader(g *l2Group, idx int64) {
 	}
 	n := int(g.granted) // new absolute credit level
 	l.e.sanTrace(l.tile, "sel2", "credit", sanStreamKey(g.key.tile, g.key.sid), g.granted, g.consumed)
-	st := l.e.stAt(l.tile)
-	st.StreamCredits++
-	st.TLBTranslations++
+	l.e.st.StreamCredits++
+	l.e.st.TLBTranslations++
 	bank := l.e.cfg.HomeBank(first.addr)
 	key := g.key
 	grantTo := n
 	l.e.mesh.Send(l.tile, bank, stats.ClassStream, 8, func(event.Cycle) {
-		if l.e.sharded() {
-			// Registry lookup and credit state: barrier work.
-			l.e.deferAt(bank, runAddCredits, &creditOp{e: l.e, key: key, level: grantTo})
-			return
-		}
 		if s := l.e.lookup(key); s != nil {
 			s.addCredits(grantTo)
 		}
@@ -446,9 +424,6 @@ func (l *seL2) terminate(g *l2Group, sink bool) {
 	l.e.sanTrace(l.tile, "sel2", "term", sanStreamKey(g.key.tile, g.key.sid), g.consumed, sk)
 	g.dead = true
 	delete(l.groups, g.key)
-	if !l.e.sharded() {
-		g.deadR = true
-	}
 	// Serve anyone still waiting with plain loads so no request is lost.
 	// These are maps, and fallback schedules events: drain in key order so
 	// the simulation stays deterministic.
@@ -482,12 +457,8 @@ func (l *seL2) terminate(g *l2Group, sink bool) {
 			st.waiters = nil
 		}
 	}
-	// Tear down the remote stream if it is still running. Partitioned, the
-	// registry lookup (and the deadR publication remote banks read) waits
-	// for the barrier.
-	if l.e.sharded() {
-		l.e.deferAt(l.tile, runStreamEnd, &endOp{l: l, g: g})
-	} else if s := l.e.lookup(g.key); s != nil {
+	// Tear down the remote stream if it is still running.
+	if s := l.e.lookup(g.key); s != nil {
 		l.e.st.StreamEnds++
 		key := g.key
 		l.e.mesh.Send(l.tile, s.curBank, stats.ClassStream, 8, func(event.Cycle) {
@@ -497,29 +468,6 @@ func (l *seL2) terminate(g *l2Group, sink bool) {
 		})
 	}
 	_ = sink
-}
-
-// endOp carries a group's remote teardown — the deadR publication plus the
-// registry-routed end message — to the quantum barrier.
-type endOp struct {
-	l *seL2
-	g *l2Group
-}
-
-func runStreamEnd(_ event.Cycle, arg any) {
-	op := arg.(*endOp)
-	l, g := op.l, op.g
-	g.deadR = true
-	s := l.e.lookup(g.key)
-	if s == nil || s.dead {
-		return
-	}
-	l.e.stAt(l.tile).StreamEnds++
-	key := g.key
-	bank := s.curBank
-	l.e.mesh.Send(l.tile, bank, stats.ClassStream, 8, func(event.Cycle) {
-		l.e.deferAt(bank, runTerminate, &termOp{e: l.e, key: key})
-	})
 }
 
 // noteDirtyEvict checks a dirty L2 eviction against the address-tagged

@@ -78,17 +78,8 @@ func (s *l3Stream) advance() {
 	}
 }
 
-// retire removes a finished stream from the registry. Partitioned, the
-// registry is barrier-owned, so a stream dying inside its bank's window
-// defers the removal (retire may also run from barrier context, where
-// appending to the op log is equally safe).
-func (s *l3Stream) retire() {
-	if s.eng.sharded() {
-		s.eng.deferAt(s.curBank, runUnregister, s)
-		return
-	}
-	s.eng.unregister(s.key)
-}
+// retire removes a finished stream from the registry.
+func (s *l3Stream) retire() { s.eng.unregister(s.key) }
 
 // confGroup is a set of merged streams with identical patterns from the
 // same tile block (§IV-C); it issues one request per line and multicasts
@@ -98,12 +89,11 @@ type confGroup struct {
 }
 
 // alive returns the members still running, reaping any whose requesting-side
-// buffer has been torn down. It runs bank-side, so it reads the group's
-// barrier-published deadR rather than the requesting tile's live dead flag.
+// buffer has been torn down.
 func (g *confGroup) alive() []*l3Stream {
 	out := g.members[:0]
 	for _, m := range g.members {
-		if !m.dead && m.group.deadR {
+		if !m.dead && m.group.dead {
 			m.terminate()
 		}
 		if !m.dead {
@@ -184,7 +174,7 @@ func (b *seL3) install(s *l3Stream) {
 			}
 			cg.members = append(cg.members, s)
 			s.conf = cg
-			b.e.stAt(b.bank).ConfluenceGroups++
+			b.e.st.ConfluenceGroups++
 			return
 		}
 	}
@@ -205,7 +195,7 @@ func (b *seL3) wake() {
 		return
 	}
 	b.ticking = true
-	b.e.engAt(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
+	b.e.eng.ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 }
 
 // tick is the issue unit: one request per cycle, round-robin across
@@ -215,7 +205,7 @@ func (b *seL3) tick(event.Cycle) {
 		issue := b.indQ[0]
 		b.indQ = b.indQ[1:]
 		issue()
-		b.e.engAt(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
+		b.e.eng.ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 		return
 	}
 	// Prune finished groups.
@@ -231,7 +221,7 @@ func (b *seL3) tick(event.Cycle) {
 		g := b.groups[(b.rr+k)%n]
 		if b.tryIssue(g) {
 			b.rr = (b.rr + k + 1) % max(1, len(b.groups))
-			b.e.engAt(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
+			b.e.eng.ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 			return
 		}
 	}
@@ -291,14 +281,14 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 	for i, m := range cands {
 		dsts[i] = m.reqTile
 	}
-	b.e.stAt(b.bank).SEL3Accesses++
+	b.e.st.SEL3Accesses++
 	if b.e.tr != nil {
 		m0 := cands[0]
-		b.e.tr.Emit(uint64(b.e.engAt(b.bank).Now()), b.bank, trace.KindSEL3Issue,
+		b.e.tr.Emit(uint64(b.e.eng.Now()), b.bank, trace.KindSEL3Issue,
 			trace.StreamKey(m0.key.tile, m0.key.sid), ref.seq, int64(len(cands)))
 	}
 	if ref.addr>>12 != cands[0].lastPage {
-		b.e.stAt(b.bank).TLBTranslations++
+		b.e.st.TLBTranslations++
 	}
 	// Indirect children chain off the index data once it is available at
 	// the bank (never under confluence: indirect streams do not merge).
@@ -326,8 +316,6 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 		byTile[m.reqTile] = m
 	}
 	seq := ref.seq
-	// The delivery callback runs at each destination tile (the group's own
-	// tile), so it reads the live dead flag, not the deadR mirror.
 	b.e.sys.FloatReadAuto(b.bank, ref.addr, dsts, kind, lineBytes, onBank,
 		func(dst int, _ event.Cycle) {
 			if m := byTile[dst]; m != nil && !m.group.dead {
@@ -349,19 +337,18 @@ func (b *seL3) queueIndirect(m *l3Stream, ref lineRef) {
 			b.indQ = append(b.indQ, func() {
 				// m.dead alone is fine (normal completion of the affine
 				// walk); only a torn-down requesting buffer cancels the
-				// dependent accesses. This thunk runs bank-side: deadR.
-				if m.group.deadR {
+				// dependent accesses.
+				if m.group.dead {
 					return
 				}
 				v := b.e.bk.ReadU32(m.pat.AddrAt(e))
 				addr := child.Indirect.AddrFor(uint64(v))
 				payload := int(child.Indirect.WBytes)
-				st := b.e.stAt(b.bank)
 				if payload < 64 {
-					st.SublineResponses++
+					b.e.st.SublineResponses++
 				}
-				st.TLBTranslations++
-				st.SEL3Accesses++
+				b.e.st.TLBTranslations++
+				b.e.st.SEL3Accesses++
 				grp, sid := m.group, child.ID
 				dst := m.reqTile
 				b.e.sys.FloatIndirectRead(b.bank, cache.LineAddr(addr), dst, payload,
@@ -390,9 +377,9 @@ func (b *seL3) migrate(g *confGroup, toBank int) {
 	// One packet carries the full stream configuration plus the current
 	// iteration and remaining credits; merged members add an id each.
 	payload := stream.ConfigBytes(len(members[0].children)) + 8*len(members)
-	b.e.stAt(b.bank).StreamMigrations++
+	b.e.st.StreamMigrations++
 	if b.e.tr != nil {
-		now := uint64(b.e.engAt(b.bank).Now())
+		now := uint64(b.e.eng.Now())
 		for _, m := range members {
 			b.e.tr.StreamMigrate(now, m.key.tile, m.key.sid, b.bank, toBank)
 		}
@@ -442,7 +429,7 @@ func (b *seL3) acceptGroup(g *confGroup) {
 			cg.members = append(cg.members, members...)
 			for _, mm := range members {
 				mm.conf = cg
-				b.e.stAt(b.bank).ConfluenceGroups++
+				b.e.st.ConfluenceGroups++
 			}
 			return
 		}

@@ -88,13 +88,6 @@ type Engine struct {
 	ring     []bucket // ringSize per-cycle buckets, indexed by when & ringMask
 	overflow []item   // binary min-heap by (when, seq) for when-now >= ringSize
 
-	// scanFrom is a lower bound on the earliest pending ring event's cycle:
-	// no ring event exists strictly before it. nextWhen starts its bucket
-	// scan here instead of at now, which makes repeated polling of a
-	// near-idle engine O(1) — the partitioned-shard runner polls every
-	// engine once per quantum.
-	scanFrom Cycle
-
 	chk *sanitize.Checker
 }
 
@@ -151,9 +144,6 @@ func (e *Engine) AtCall(when Cycle, fn CallFunc, ref Ref) {
 		if e.ring == nil {
 			e.ring = make([]bucket, ringSize)
 		}
-		if when < e.scanFrom {
-			e.scanFrom = when
-		}
 		b := &e.ring[when&ringMask]
 		b.items = append(b.items, it)
 		e.ringCnt++
@@ -171,44 +161,14 @@ func (e *Engine) nextWhen() (Cycle, bool) {
 		return 0, false
 	}
 	if e.ringCnt > 0 {
-		t := e.now
-		if e.scanFrom > t {
-			t = e.scanFrom
-		}
-		for ; t-e.now < ringSize; t++ {
+		for t := e.now; t-e.now < ringSize; t++ {
 			b := &e.ring[t&ringMask]
 			if b.head < len(b.items) {
-				e.scanFrom = t
 				return t, true
 			}
 		}
 	}
 	return e.overflow[0].when, true
-}
-
-// NextWhen reports the cycle of the earliest pending event without advancing
-// time, and whether any event is pending. Shard runners use it to pick the
-// next quantum's window start.
-func (e *Engine) NextWhen() (Cycle, bool) { return e.nextWhen() }
-
-// RunWindow fires every pending event strictly before horizon, in (when, seq)
-// order, and returns how many fired. Time advances only as far as the last
-// fired event, so callbacks scheduled at or beyond horizon by other shards
-// are never past-clamped. It is the per-quantum work unit of the partitioned
-// parallel runner: with horizon set one conservative lookahead past the
-// window start, every cross-shard effect of this window lands at or beyond
-// horizon and the window's event schedule is independent of other shards.
-func (e *Engine) RunWindow(horizon Cycle) int {
-	n := 0
-	for e.size > 0 {
-		t, _ := e.nextWhen()
-		if t >= horizon {
-			break
-		}
-		e.fire(t)
-		n++
-	}
-	return n
 }
 
 // advanceTo moves simulated time forward to t and promotes every overflow
@@ -252,12 +212,6 @@ func (e *Engine) fire(t Cycle) {
 	e.fired++
 	it.call(e.now, it.ref)
 }
-
-// AdvanceTo moves simulated time forward to t (never backwards) without
-// firing anything, promoting overflow events into the ring as usual. Shard
-// runners use it to normalize every engine to the quantum boundary before
-// barrier ops execute.
-func (e *Engine) AdvanceTo(t Cycle) { e.advanceTo(t) }
 
 // Step fires the single earliest event and returns true, or returns false if
 // the queue is empty.

@@ -36,12 +36,6 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent simulations (0 or negative = GOMAXPROCS).
 	Parallelism int
-	// Workers sets every simulation's parallel worker count (config.Workers):
-	// how many goroutines drive a partitioned machine's tile shards. 0 or 1
-	// runs each simulation sequentially. Results are bit-identical for every
-	// value; the sweep's effective parallelism is derated so that
-	// Parallelism x Workers never oversubscribes GOMAXPROCS.
-	Workers int
 	// Sanitize sets every simulation's runtime invariant checking: the zero
 	// value (auto) turns probes on inside test binaries and off elsewhere.
 	Sanitize sanitize.Mode
@@ -141,48 +135,13 @@ func (o Options) context() context.Context {
 	return context.Background()
 }
 
-// workers resolves the per-simulation worker count (min 1).
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
-}
-
-// rawParallelism resolves the requested concurrency bound, clamping zero and
+// parallelism resolves the sweep concurrency bound, clamping zero and
 // negative values to GOMAXPROCS.
-func (o Options) rawParallelism() int {
+func (o Options) parallelism() int {
 	if o.Parallelism <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Parallelism
-}
-
-// parallelism resolves the effective sweep concurrency: the requested bound,
-// derated by the per-simulation worker count so that concurrent sweeps times
-// shard workers never oversubscribes GOMAXPROCS (oversubscription makes the
-// spin-barrier quanta of the parallel kernel actively harmful).
-func (o Options) parallelism() int {
-	p := o.rawParallelism()
-	if w := o.workers(); w > 1 {
-		if procs := runtime.GOMAXPROCS(0); p*w > procs {
-			p = procs / w
-			if p < 1 {
-				p = 1
-			}
-		}
-	}
-	return p
-}
-
-// derateNote describes the oversubscription derate when it applies, or "".
-func (o Options) derateNote() string {
-	raw, eff := o.rawParallelism(), o.parallelism()
-	if eff >= raw {
-		return ""
-	}
-	return fmt.Sprintf("sweep parallelism derated %d -> %d: %d workers/simulation x %d sweeps fits GOMAXPROCS=%d",
-		raw, eff, o.workers(), eff, runtime.GOMAXPROCS(0))
 }
 
 func (o Options) benchmarks() []string {
@@ -282,7 +241,7 @@ var testFaultHook func(bench, system string, core config.CoreKind)
 // panic containment: a panic escaping work is recovered into a structured
 // *fault.PointError instead of killing the process. labels(i) returns the
 // pprof key-value pairs for task i; the labels are inherited by everything
-// the task spawns, including the parallel kernel's shard workers. When
+// the task spawns. When
 // cancelOnErr, the first failure cancels the remaining tasks — queued ones
 // never start, in-flight ones abort at their next cancellation check;
 // otherwise every task runs to completion regardless of failures. The
@@ -350,7 +309,6 @@ func runPoint(ctx context.Context, opts Options, prog *progressTracker, k runKey
 	}
 	cfg.Sanitize = opts.Sanitize
 	cfg.Sample = opts.Sample
-	cfg.Workers = opts.workers()
 	if k.mutate != nil {
 		k.mutate(&cfg)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/system"
 )
 
@@ -73,26 +74,36 @@ func checkGolden(t *testing.T, name string, metrics map[string]float64) {
 	}
 }
 
+// checkGoldenFigure regenerates one figure with the sanitizer on and off and
+// compares both against the same golden file. The sanitizer-off run is the
+// code path sfexp and sfserve take; the sanitizer-on run proves the probes
+// stay silent and change nothing.
+func checkGoldenFigure(t *testing.T, name string, fig func(Options) (*Table, error)) {
+	for _, mode := range []sanitize.Mode{sanitize.ModeOn, sanitize.ModeOff} {
+		t.Run("sanitize="+mode.String(), func(t *testing.T) {
+			opts := goldenOpts()
+			opts.Sanitize = mode
+			tbl, err := fig(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, name, tbl.Metrics)
+		})
+	}
+}
+
 // TestGoldenFig13 pins the headline speedup and energy-efficiency geomeans
 // of every system/core pair at spot scale.
 func TestGoldenFig13(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig 13 sweep (30 runs) skipped in -short")
 	}
-	tbl, err := Fig13(goldenOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_fig13", tbl.Metrics)
+	checkGoldenFigure(t, "golden_fig13", Fig13)
 }
 
 // TestGoldenFig14 pins the floated-request share of SF-OOO8.
 func TestGoldenFig14(t *testing.T) {
-	tbl, err := Fig14(goldenOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_fig14", tbl.Metrics)
+	checkGoldenFigure(t, "golden_fig14", Fig14)
 }
 
 // TestGoldenFig15 pins the normalized NoC traffic and utilization of every
@@ -101,11 +112,7 @@ func TestGoldenFig15(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig 15 sweep (18 runs) skipped in -short")
 	}
-	tbl, err := Fig15(goldenOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_fig15", tbl.Metrics)
+	checkGoldenFigure(t, "golden_fig15", Fig15)
 }
 
 // TestDeterministicStats: the same configuration run twice produces

@@ -130,9 +130,8 @@ func (s *SamplingSummary) note() string {
 // runFigure invokes one figure runner, provisioning an estimate log when
 // the sweep samples and stitching the resulting summary into the table. All,
 // ByName and the CSV writers all route through here so every rendered
-// sampled table carries its confidence intervals (and, when the per-
-// simulation worker count forces a sweep-parallelism derate, a note saying
-// so). name tags the sweep's goroutines for pprof attribution.
+// sampled table carries its confidence intervals. name tags the sweep's
+// goroutines for pprof attribution.
 func runFigure(name string, fn func(Options) (*Table, error), opts Options) (*Table, error) {
 	opts.figure = name
 	sampled := opts.Sample.Enabled()
@@ -159,9 +158,6 @@ func runFigure(name string, fn func(Options) (*Table, error), opts Options) (*Ta
 				t.Notes = append(t.Notes, f.note())
 			}
 		}
-	}
-	if n := opts.derateNote(); n != "" {
-		t.Notes = append(t.Notes, n)
 	}
 	return t, nil
 }

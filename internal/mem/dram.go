@@ -16,20 +16,6 @@ type DRAM struct {
 	perCtrl  float64 // bytes per cycle per controller
 	nextFree []float64
 	tiles    []int // tile hosting each controller
-
-	// Partitioned execution (nil when unpartitioned): per-controller engine
-	// and stats, belonging to the shard of the tile hosting the controller.
-	// Each controller's queue state (nextFree) is then owned by that shard:
-	// Access must only be called from the hosting tile's execution context.
-	ctrlEngs []*event.Engine
-	ctrlSts  []*stats.Stats
-}
-
-// Partition switches the DRAM to sharded operation: engs[i]/sts[i] drive
-// controller i (the engine and stats shard of its hosting tile).
-func (d *DRAM) Partition(engs []*event.Engine, sts []*stats.Stats) {
-	d.ctrlEngs = engs
-	d.ctrlSts = sts
 }
 
 // NewDRAM builds the memory system. bandwidthBpc is the total bytes/cycle
@@ -67,21 +53,17 @@ func (d *DRAM) NumControllers() int { return len(d.tiles) }
 // bandwidth; latency is added on top of queueing delay.
 func (d *DRAM) Access(addr uint64, size int, write bool, done func(event.Cycle)) {
 	ctrl := d.CtrlFor(addr)
-	eng, st := d.eng, d.st
-	if d.ctrlEngs != nil {
-		eng, st = d.ctrlEngs[ctrl], d.ctrlSts[ctrl]
-	}
-	now := float64(eng.Now())
+	now := float64(d.eng.Now())
 	start := now
 	if d.nextFree[ctrl] > start {
 		start = d.nextFree[ctrl]
 	}
 	d.nextFree[ctrl] = start + float64(size)/d.perCtrl
 	if write {
-		st.DRAMWrites++
+		d.st.DRAMWrites++
 	} else {
-		st.DRAMReads++
+		d.st.DRAMReads++
 	}
 	finish := event.Cycle(start) + d.latency
-	eng.At(finish, done)
+	d.eng.At(finish, done)
 }

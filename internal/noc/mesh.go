@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"streamfloat/internal/event"
-	"streamfloat/internal/par"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/trace"
@@ -44,19 +43,6 @@ type Mesh struct {
 	// link leaving tile in dir can accept a new head flit.
 	linkFree []event.Cycle
 	numLinks int
-
-	// Partitioned execution (nil when the machine is unpartitioned). Each
-	// tile's sends are issued from its own shard: local (src == dst)
-	// deliveries stay entirely shard-local, while link-touching sends are
-	// logged as barrier ops — link reservation against the shared linkFree
-	// state happens single-threaded at the quantum barrier, in canonical
-	// (cycle, source tile, issue order), and deliveries are scheduled onto
-	// the destination tile's engine. The conservative lookahead guarantees
-	// every such delivery lands in a later quantum.
-	tileShard []*par.Shard
-	shardIdx  []int         // tile -> shard index, for the per-shard pools
-	sendFree  [][]*sendMsg  // per-shard sendMsg freelists
-	mcastFree [][]*mcastMsg // per-shard mcastMsg freelists
 
 	// pathBuf is the scratch route reused by path(): the mesh is driven from
 	// the single event-loop goroutine and every route is consumed before the
@@ -110,42 +96,6 @@ func New(eng *event.Engine, st *stats.Stats, w, h, linkBits, routerLat, linkLat 
 	m.numLinks = 2 * ((w-1)*h + w*(h-1))
 	return m
 }
-
-// sendMsg is one logged unicast awaiting barrier commit. Instances are
-// pooled per shard: popped in shard context at send time, pushed back at the
-// barrier — the two never overlap in time, so no locking is needed.
-type sendMsg struct {
-	src, dst int
-	class    stats.MsgClass
-	flits    int
-	call     event.CallFunc
-	ref      event.Ref
-}
-
-// mcastMsg is one logged multicast awaiting barrier commit.
-type mcastMsg struct {
-	src     int
-	class   stats.MsgClass
-	flits   int
-	deliver func(dst int, now event.Cycle)
-	dsts    []int
-}
-
-// Partition switches the mesh to sharded operation: tileShard maps every
-// tile to the shard driving it. Call once at machine construction, before
-// any traffic; nil reverts to the single-engine path.
-func (m *Mesh) Partition(tileShard []*par.Shard, shardIdx []int, numShards int) {
-	m.tileShard = tileShard
-	m.shardIdx = shardIdx
-	m.sendFree = make([][]*sendMsg, numShards)
-	m.mcastFree = make([][]*mcastMsg, numShards)
-}
-
-// Lookahead is the minimum latency of any cross-tile interaction: one
-// router traversal plus one link traversal. It is the conservative quantum
-// width for partitioned execution — a message sent at cycle t is never
-// delivered before t+Lookahead, whatever the congestion.
-func (m *Mesh) Lookahead() event.Cycle { return m.routerLat + m.linkLat }
 
 // NumLinks reports the number of unidirectional links, for utilization math.
 func (m *Mesh) NumLinks() int { return m.numLinks }
@@ -225,86 +175,42 @@ func runDeliverTo(now event.Cycle, ref event.Ref) {
 	ref.Obj.(func(int, event.Cycle))(int(ref.A), now)
 }
 
-// engFor returns the engine driving a tile (the shared engine when the mesh
-// is unpartitioned).
-func (m *Mesh) engFor(tile int) *event.Engine {
-	if m.tileShard != nil {
-		return m.tileShard[tile].Eng
-	}
-	return m.eng
-}
-
-// stFor returns the stats shard a tile accumulates into.
-func (m *Mesh) stFor(tile int) *stats.Stats {
-	if m.tileShard != nil {
-		return m.tileShard[tile].St
-	}
-	return m.st
-}
-
 // SendCall is Send with a fixed-payload delivery callback: call(now, ref)
 // fires at arrival and the whole send allocates nothing.
 func (m *Mesh) SendCall(src, dst int, class stats.MsgClass, payloadBytes int, call event.CallFunc, ref event.Ref) {
 	flits := m.Flits(payloadBytes)
-	st := m.stFor(src)
-	eng := m.engFor(src)
-	st.Messages[class]++
+	now := m.eng.Now()
+	m.st.Messages[class]++
 	if src == dst {
 		// Local delivery through the tile's crossbar: one cycle, no link
-		// traffic — entirely shard-local under partitioned execution.
+		// traffic.
 		if m.tr != nil {
-			m.tr.Emit(uint64(eng.Now()), src, trace.KindNocSend, nocKey(src, dst), 0, int64(class))
+			m.tr.Emit(uint64(now), src, trace.KindNocSend, nocKey(src, dst), 0, int64(class))
 		}
 		if m.chk != nil {
-			call, ref = m.probeMessage(eng.Now(), src, dst, class, 0, call, ref)
+			call, ref = m.probeMessage(now, src, dst, class, 0, call, ref)
 		}
-		eng.ScheduleCall(1, call, ref)
+		m.eng.ScheduleCall(1, call, ref)
 		return
 	}
 	if m.chk != nil {
-		call, ref = m.probeMessage(eng.Now(), src, dst, class, flits, call, ref)
+		call, ref = m.probeMessage(now, src, dst, class, flits, call, ref)
 	}
 	if m.tr != nil {
-		m.tr.Emit(uint64(eng.Now()), src, trace.KindNocSend, nocKey(src, dst), int64(flits), int64(class))
+		m.tr.Emit(uint64(now), src, trace.KindNocSend, nocKey(src, dst), int64(flits), int64(class))
 	}
-	st.Flits[class] += uint64(flits)
-	if m.tileShard == nil {
-		m.commitUnicast(eng.Now(), src, dst, class, flits, call, ref, st)
-		return
-	}
-	// Partitioned: log the send for canonical link reservation at the
-	// quantum barrier. The message struct is pooled per shard.
-	sh := m.tileShard[src]
-	msg := m.getSend(src)
-	*msg = sendMsg{src: src, dst: dst, class: class, flits: flits, call: call, ref: ref}
-	sh.Defer(eng.Now(), src, m.commitSendOp, msg)
-}
+	m.st.Flits[class] += uint64(flits)
 
-// commitSendOp is the barrier-op form of commitUnicast (bound once to avoid
-// a per-send method-value allocation).
-func (m *Mesh) commitSendOp(now event.Cycle, arg any) {
-	msg := arg.(*sendMsg)
-	si := m.shardIdx[msg.src]
-	m.commitUnicast(now, msg.src, msg.dst, msg.class, msg.flits, msg.call, msg.ref, m.tileShard[msg.src].St)
-	*msg = sendMsg{}
-	m.sendFree[si] = append(m.sendFree[si], msg)
-}
-
-// commitUnicast reserves the X-Y path of one remote message against the
-// link-occupancy state and schedules its delivery on the destination tile's
-// engine. sendAt is the cycle the message was injected; in partitioned runs
-// this executes single-threaded at the quantum barrier.
-func (m *Mesh) commitUnicast(sendAt event.Cycle, src, dst int, class stats.MsgClass, flits int,
-	call event.CallFunc, ref event.Ref, st *stats.Stats) {
-	arrive := sendAt
+	// Reserve the X-Y path against the link-occupancy state.
+	arrive := now
 	for _, l := range m.path(src, dst) {
 		start := arrive
 		if m.linkFree[l] > start {
 			start = m.linkFree[l]
 		}
 		m.linkFree[l] = start + event.Cycle(flits)
-		st.FlitHops[class] += uint64(flits)
-		st.LinkBusy += uint64(flits)
+		m.st.FlitHops[class] += uint64(flits)
+		m.st.LinkBusy += uint64(flits)
 		if m.tr != nil {
 			m.tr.AddLinkFlits(l, flits)
 			m.tr.Emit(uint64(start), l/int(numDirs), trace.KindNocHop, uint64(l),
@@ -318,32 +224,7 @@ func (m *Mesh) commitUnicast(sendAt event.Cycle, src, dst int, class stats.MsgCl
 		// wrapper closure, so tracing never perturbs the delivery path.
 		m.tr.Emit(uint64(arrive), dst, trace.KindNocDeliver, nocKey(src, dst), int64(flits), int64(src))
 	}
-	m.engFor(dst).AtCall(arrive, call, ref)
-}
-
-// getSend pops a pooled sendMsg for src's shard. The pool is popped in shard
-// context and refilled at the barrier; the two phases never overlap.
-func (m *Mesh) getSend(src int) *sendMsg {
-	si := m.shardIdx[src]
-	free := m.sendFree[si]
-	if n := len(free); n > 0 {
-		msg := free[n-1]
-		m.sendFree[si] = free[:n-1]
-		return msg
-	}
-	return new(sendMsg)
-}
-
-// getMcast pops a pooled mcastMsg for src's shard.
-func (m *Mesh) getMcast(src int) *mcastMsg {
-	si := m.shardIdx[src]
-	free := m.mcastFree[si]
-	if n := len(free); n > 0 {
-		mc := free[n-1]
-		m.mcastFree[si] = free[:n-1]
-		return mc
-	}
-	return new(mcastMsg)
+	m.eng.AtCall(arrive, call, ref)
 }
 
 // Multicast routes one message to several destinations over a shared X-Y
@@ -359,12 +240,11 @@ func (m *Mesh) Multicast(src int, dsts []int, class stats.MsgClass, payloadBytes
 		return
 	}
 	flits := m.Flits(payloadBytes)
-	st := m.stFor(src)
-	eng := m.engFor(src)
-	st.Messages[class]++
-	st.Flits[class] += uint64(flits)
+	now := m.eng.Now()
+	m.st.Messages[class]++
+	m.st.Flits[class] += uint64(flits)
 	if m.tr != nil {
-		m.tr.Emit(uint64(eng.Now()), src, trace.KindNocSend, nocKey(src, dsts[0]),
+		m.tr.Emit(uint64(now), src, trace.KindNocSend, nocKey(src, dsts[0]),
 			int64(flits), int64(class))
 	}
 	if m.chk != nil {
@@ -373,7 +253,7 @@ func (m *Mesh) Multicast(src int, dsts []int, class stats.MsgClass, payloadBytes
 		m.sanInjected[class] += uint64(flits)
 		m.sanInFlight += uint64(len(dsts))
 		m.chk.Trace(sanitize.Record{
-			Cycle: uint64(eng.Now()), Tile: src, Comp: "noc", Event: "mcast",
+			Cycle: uint64(now), Tile: src, Comp: "noc", Event: "mcast",
 			Key: nocKey(src, dsts[0]), A: int64(flits), B: int64(len(dsts)),
 		})
 		inner := deliver
@@ -387,36 +267,6 @@ func (m *Mesh) Multicast(src int, dsts []int, class stats.MsgClass, payloadBytes
 			inner(dst, now)
 		}
 	}
-	if m.tileShard == nil {
-		m.commitMulticast(eng.Now(), src, dsts, class, flits, deliver)
-		return
-	}
-	// Partitioned: log the multicast for canonical tree reservation at the
-	// quantum barrier. The destination slice is copied into the pooled
-	// message (callers reuse their slices).
-	sh := m.tileShard[src]
-	mc := m.getMcast(src)
-	mc.src, mc.class, mc.flits, mc.deliver = src, class, flits, deliver
-	mc.dsts = append(mc.dsts[:0], dsts...)
-	sh.Defer(eng.Now(), src, m.commitMcastOp, mc)
-}
-
-// commitMcastOp is the barrier-op form of commitMulticast.
-func (m *Mesh) commitMcastOp(now event.Cycle, arg any) {
-	mc := arg.(*mcastMsg)
-	si := m.shardIdx[mc.src]
-	m.commitMulticast(now, mc.src, mc.dsts, mc.class, mc.flits, mc.deliver)
-	mc.deliver = nil
-	mc.dsts = mc.dsts[:0]
-	m.mcastFree[si] = append(m.mcastFree[si], mc)
-}
-
-// commitMulticast reserves the shared X-Y tree of one multicast and schedules
-// each destination's delivery. sendAt is the injection cycle; in partitioned
-// runs this executes single-threaded at the quantum barrier.
-func (m *Mesh) commitMulticast(sendAt event.Cycle, src int, dsts []int, class stats.MsgClass, flits int,
-	deliver func(dst int, now event.Cycle)) {
-	st := m.stFor(src)
 	// Union of links across destination paths; each tree link carries the
 	// flits exactly once. Links already reserved by an earlier branch are
 	// recognized by their epoch stamp.
@@ -428,10 +278,10 @@ func (m *Mesh) commitMulticast(sendAt event.Cycle, src int, dsts []int, class st
 	var unicastHops, treeHops int
 	for _, dst := range dsts {
 		if dst == src {
-			m.engFor(src).ScheduleCall(1, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
+			m.eng.ScheduleCall(1, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
 			continue
 		}
-		arrive := sendAt
+		arrive := now
 		for _, l := range m.path(src, dst) {
 			unicastHops++
 			if m.seenEpoch[l] == m.epoch {
@@ -446,8 +296,8 @@ func (m *Mesh) commitMulticast(sendAt event.Cycle, src int, dsts []int, class st
 				start = m.linkFree[l]
 			}
 			m.linkFree[l] = start + event.Cycle(flits)
-			st.FlitHops[class] += uint64(flits)
-			st.LinkBusy += uint64(flits)
+			m.st.FlitHops[class] += uint64(flits)
+			m.st.LinkBusy += uint64(flits)
 			if m.tr != nil {
 				m.tr.AddLinkFlits(l, flits)
 				m.tr.Emit(uint64(start), l/int(numDirs), trace.KindNocHop, uint64(l),
@@ -461,10 +311,10 @@ func (m *Mesh) commitMulticast(sendAt event.Cycle, src int, dsts []int, class st
 		if m.tr != nil {
 			m.tr.Emit(uint64(at), dst, trace.KindNocDeliver, nocKey(src, dst), int64(flits), int64(src))
 		}
-		m.engFor(dst).AtCall(at, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
+		m.eng.AtCall(at, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
 	}
 	if unicastHops > treeHops {
-		st.MulticastSave += uint64((unicastHops - treeHops) * flits)
+		m.st.MulticastSave += uint64((unicastHops - treeHops) * flits)
 	}
 }
 

@@ -208,12 +208,6 @@ type JobRequest struct {
 	// result is an interval-sampled estimate instead of an exact run, under
 	// its own cache key. It overrides Config.Sample when both are present.
 	Sample *config.SampleParams `json:"sample,omitempty"`
-
-	// Workers, when positive, sets the simulation's parallel shard workers
-	// (config.Workers). Purely an execution knob: results and the cache key
-	// are identical for every value, so callers may tune it per backend.
-	// It overrides Config.Workers when both are present.
-	Workers int `json:"workers,omitempty"`
 }
 
 // JobResponse is the POST /run reply (and one element of a points job's
@@ -277,9 +271,6 @@ func (r JobRequest) resolve() (config.Config, string, float64, error) {
 			return config.Config{}, "", 0, err
 		}
 		cfg.Sample = *r.Sample
-	}
-	if r.Workers > 0 {
-		cfg.Workers = r.Workers
 	}
 	if r.Benchmark == "" {
 		return config.Config{}, "", 0, fmt.Errorf("benchmark is required (valid: %s)", strings.Join(workload.Names(), ", "))

@@ -32,8 +32,8 @@ func fillSequential(s *Stats, seed uint64) {
 }
 
 // TestMergeSumsEveryField: Merge must be an exact field-wise sum over the
-// whole struct — the partitioned event kernel relies on shard-merged totals
-// reproducing the single-threaded counters bit for bit.
+// whole struct, so merged per-part totals reproduce the combined counters
+// bit for bit.
 func TestMergeSumsEveryField(t *testing.T) {
 	var a, b, want Stats
 	fillSequential(&a, 100)
@@ -70,8 +70,8 @@ func TestMergeZeroIsIdentity(t *testing.T) {
 	}
 }
 
-// TestMergeOrderIndependent: shard merge order cannot matter for integer
-// counters (and the float fields are zero until after the merge).
+// TestMergeOrderIndependent: merge order cannot matter for integer counters
+// (and the float fields here are zero).
 func TestMergeOrderIndependent(t *testing.T) {
 	var a1, a2, b, c Stats
 	fillSequential(&b, 7)

@@ -18,7 +18,6 @@ import (
 	"streamfloat/internal/fault"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
-	"streamfloat/internal/par"
 	"streamfloat/internal/prefetch"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
@@ -61,18 +60,7 @@ type Machine struct {
 	// attribute cycles and counters to warmup vs. measured phases.
 	phaseHook func(phase int, now event.Cycle, snap stats.Stats)
 
-	// Shards is the tile partition of the parallel event kernel, nil on
-	// small (unpartitioned) machines. Each shard owns a subset of tiles, a
-	// private engine and private stats; group drives them in barrier-
-	// synchronized quanta of one NoC lookahead. The shard layout is a pure
-	// function of the configuration, so results are bit-identical for every
-	// worker count — Workers only picks how many goroutines drive them.
-	Shards    []*par.Shard
-	group     *par.Group
-	tileShard []*par.Shard
-
-	// remaining counts cores yet to reach the current phase barrier; on a
-	// partitioned machine it is only touched by barrier ops.
+	// remaining counts cores yet to reach the current phase barrier.
 	remaining int
 
 	bench     string
@@ -139,67 +127,9 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 	eng := event.New()
 	st := &stats.Stats{}
 
-	// Partition the tiles into shards. The shard count is a pure function of
-	// the configuration (never of Workers), so the partitioned machine has one
-	// canonical event schedule; small machines stay on the exact legacy
-	// single-engine path (tileShard nil, Partition never called).
-	//
-	// Sanitized machines also stay on the legacy path: the checker's global
-	// books require one time-sorted total event order, while the partitioned
-	// kernel fires each shard's whole window before the next shard's — a
-	// time-skew the protocol checks would misread as violations. This cannot
-	// alias cached results, because the canonical encoding keys on the
-	// resolved sanitize bit (see config.CanonicalBytes); the partitioned
-	// schedule itself is validated by worker-determinism tests that disable
-	// the sanitizer explicitly.
-	numShards := par.ShardsFor(cfg.Tiles())
-	if cfg.SanitizeEnabled() {
-		numShards = 1
-	}
-	var (
-		shards    []*par.Shard
-		tileShard []*par.Shard
-		shardIdx  []int
-	)
-	if numShards > 1 {
-		shards = make([]*par.Shard, numShards)
-		for i := range shards {
-			shards[i] = par.NewShard(event.New(), &stats.Stats{})
-		}
-		tileShard = make([]*par.Shard, cfg.Tiles())
-		shardIdx = make([]int, cfg.Tiles())
-		for t := range tileShard {
-			shardIdx[t] = par.ShardOf(t, numShards)
-			tileShard[t] = shards[shardIdx[t]]
-		}
-	}
-	engAt := func(tile int) *event.Engine {
-		if tileShard == nil {
-			return eng
-		}
-		return tileShard[tile].Eng
-	}
-	stAt := func(tile int) *stats.Stats {
-		if tileShard == nil {
-			return st
-		}
-		return tileShard[tile].St
-	}
-
 	mesh := noc.New(eng, st, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
 	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
 	caches := cache.NewSystem(eng, st, cfg, mesh, dram)
-	if numShards > 1 {
-		mesh.Partition(tileShard, shardIdx, numShards)
-		caches.Partition(tileShard, shardIdx, numShards)
-		ctrlEngs := make([]*event.Engine, dram.NumControllers())
-		ctrlSts := make([]*stats.Stats, dram.NumControllers())
-		for i := range ctrlEngs {
-			ctrlEngs[i] = engAt(dram.CtrlTile(i))
-			ctrlSts[i] = stAt(dram.CtrlTile(i))
-		}
-		dram.Partition(ctrlEngs, ctrlSts)
-	}
 
 	if len(progs) != cfg.Tiles() {
 		return nil, fmt.Errorf("system: %s produced %d programs for %d cores", bench, len(progs), cfg.Tiles())
@@ -219,15 +149,6 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 		Cfg: cfg, Eng: eng, St: st, Mesh: mesh, DRAM: dram,
 		Caches: caches, Backing: bk, bench: bench, numPhases: numPhases,
 	}
-	if numShards > 1 {
-		m.Shards = shards
-		m.tileShard = tileShard
-		m.group = &par.Group{
-			Shards:  shards,
-			Quantum: mesh.Lookahead(),
-			Labels:  []string{"benchmark", bench},
-		}
-	}
 
 	prefetch.Attach(cfg, caches)
 
@@ -235,25 +156,19 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 	if cfg.Stream != config.StreamOff {
 		m.Engines = score.NewEngines(eng, st, cfg, mesh, caches, bk)
 		se = m.Engines
-		if numShards > 1 {
-			m.Engines.Partition(tileShard)
-		}
 	}
 
 	params := cfg.CoreParams()
 	m.Cores = make([]*cpu.Core, cfg.Tiles())
 	for i := 0; i < cfg.Tiles(); i++ {
 		p := progs[i]
-		m.Cores[i] = cpu.NewCore(i, engAt(i), stAt(i), params, caches, bk, se, &p)
+		m.Cores[i] = cpu.NewCore(i, eng, st, params, caches, bk, se, &p)
 	}
 
 	if cfg.SanitizeEnabled() {
 		chk := sanitize.New(sanitize.DefaultDepth)
 		m.Chk = chk
 		eng.SetChecker(chk)
-		for _, sh := range shards {
-			sh.Eng.SetChecker(chk)
-		}
 		mesh.SetChecker(chk)
 		caches.SetChecker(chk)
 		if m.Engines != nil {
@@ -279,60 +194,6 @@ func (m *Machine) Audit() {
 	if m.Engines != nil {
 		m.Engines.Audit()
 	}
-}
-
-// SetRunLabels appends pprof labels (key-value pairs) to the parallel worker
-// goroutines, e.g. the figure, benchmark and configuration being simulated.
-// No-op on an unpartitioned machine. Call before Run.
-func (m *Machine) SetRunLabels(kv ...string) {
-	if m.group != nil {
-		m.group.Labels = append(m.group.Labels, kv...)
-	}
-}
-
-// now returns the current simulated cycle: the furthest engine on a
-// partitioned machine (all engines agree at quantum barriers).
-func (m *Machine) now() event.Cycle {
-	n := m.Eng.Now()
-	for _, sh := range m.Shards {
-		if t := sh.Eng.Now(); t > n {
-			n = t
-		}
-	}
-	return n
-}
-
-// fired sums fired-event counts across every engine of the machine. Called
-// from the event loop's stop poll, when all engines are quiescent.
-func (m *Machine) fired() uint64 {
-	n := m.Eng.Fired()
-	for _, sh := range m.Shards {
-		n += sh.Eng.Fired()
-	}
-	return n
-}
-
-// pending sums outstanding events across every engine of the machine.
-func (m *Machine) pending() int {
-	n := m.Eng.Pending()
-	for _, sh := range m.Shards {
-		n += sh.Eng.Pending()
-	}
-	return n
-}
-
-// statsSnapshot returns the machine's current counter totals: the root stats
-// plus every shard's. Only called with all engines quiescent.
-func (m *Machine) statsSnapshot() stats.Stats {
-	if m.Shards == nil {
-		return *m.St
-	}
-	var s stats.Stats
-	s.Merge(m.St)
-	for _, sh := range m.Shards {
-		s.Merge(sh.St)
-	}
-	return s
 }
 
 // barrierLatency models the OpenMP barrier between phases: a reduce +
@@ -364,31 +225,16 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 	}
 	finished := false
 	var runPhase func(k int)
-	// advance fires when the last core reaches the phase-k barrier. It runs
-	// with every engine quiescent — inside the single event loop on an
-	// unpartitioned machine, at the quantum-barrier drain on a partitioned
-	// one — so it may observe merged stats and fan the next phase out to all
-	// cores' engines.
+	// advance fires when the last core reaches the phase-k barrier.
 	advance := func(k int) {
 		if m.phaseHook != nil {
-			m.phaseHook(k, m.now(), m.statsSnapshot())
+			m.phaseHook(k, m.Eng.Now(), *m.St)
 		}
 		if m.Tr != nil {
-			m.Tr.Emit(uint64(m.now()), 0, trace.KindBarrier, 0,
+			m.Tr.Emit(uint64(m.Eng.Now()), 0, trace.KindBarrier, 0,
 				int64(k), int64(m.barrierLatency()))
 		}
-		if m.group == nil {
-			m.Eng.Schedule(m.barrierLatency(), func(event.Cycle) { runPhase(k + 1) })
-			return
-		}
-		// Partitioned: the delayed phase start must itself cross a quantum
-		// barrier, because starting a phase touches every shard's engine.
-		// Schedule the wakeup on shard 0 and re-home the fan-out via its
-		// op log.
-		sh := m.Shards[0]
-		sh.Eng.Schedule(m.barrierLatency(), func(event.Cycle) {
-			sh.Defer(sh.Eng.Now(), 0, func(event.Cycle, any) { runPhase(k + 1) }, nil)
-		})
+		m.Eng.Schedule(m.barrierLatency(), func(event.Cycle) { runPhase(k + 1) })
 	}
 	runPhase = func(k int) {
 		if k >= m.numPhases {
@@ -396,27 +242,12 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 			return
 		}
 		m.remaining = len(m.Cores)
-		for i, c := range m.Cores {
-			if m.group == nil {
-				c.BeginPhase(k, func() {
-					m.remaining--
-					if m.remaining == 0 {
-						advance(k)
-					}
-				})
-				continue
-			}
-			// The completion callback fires inside the core's own window;
-			// the shared countdown is routed through the barrier so it stays
-			// single-threaded and canonically ordered.
-			sh, tile := m.tileShard[i], i
+		for _, c := range m.Cores {
 			c.BeginPhase(k, func() {
-				sh.Defer(sh.Eng.Now(), tile, func(event.Cycle, any) {
-					m.remaining--
-					if m.remaining == 0 {
-						advance(k)
-					}
-				}, nil)
+				m.remaining--
+				if m.remaining == 0 {
+					advance(k)
+				}
 			})
 		}
 	}
@@ -427,13 +258,13 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 	}
 	// The watchdog's heartbeat (if a fault.Guard installed one on ctx) is
 	// published from the same stop closure the loop already polls every
-	// DefaultStopCheckEvents fired events (once per quantum on a partitioned
-	// machine), so progress reporting costs nothing extra on the hot path.
+	// DefaultStopCheckEvents fired events, so progress reporting costs
+	// nothing extra on the hot path.
 	hb := fault.HeartbeatFrom(ctx)
 	var stop func() bool
 	if done := ctx.Done(); done != nil || hb != nil {
 		stop = func() bool {
-			hb.Publish(m.fired(), uint64(m.now()))
+			hb.Publish(m.Eng.Fired(), uint64(m.Eng.Now()))
 			if done == nil {
 				return false
 			}
@@ -445,51 +276,24 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 			}
 		}
 	}
-	switch {
-	case m.group != nil:
-		workers := m.Cfg.Workers
-		if m.Tr != nil {
-			// The tracer's ring is shared across tiles; drive the shards
-			// sequentially but keep the partitioned layout (and thus the
-			// canonical schedule) unchanged. (Sanitized machines are never
-			// partitioned — see BuildPrepared.)
-			workers = 1
-		}
-		m.group.Workers = workers
-		stopped, gerr := m.group.Run(maxCycles, stop)
-		if gerr != nil {
-			return Results{}, fmt.Errorf("system: %s: shard worker failure: %w", m.bench, gerr)
-		}
-		if stopped {
-			return Results{}, fmt.Errorf("system: %s cancelled at cycle %d: %w", m.bench, m.now(), ctx.Err())
-		}
-	case stop == nil:
+	if stop == nil {
 		m.Eng.Run(maxCycles)
-	default:
-		if _, stopped := m.Eng.RunStop(maxCycles, event.DefaultStopCheckEvents, stop); stopped {
-			return Results{}, fmt.Errorf("system: %s cancelled at cycle %d: %w", m.bench, m.Eng.Now(), ctx.Err())
-		}
+	} else if _, stopped := m.Eng.RunStop(maxCycles, event.DefaultStopCheckEvents, stop); stopped {
+		return Results{}, fmt.Errorf("system: %s cancelled at cycle %d: %w", m.bench, m.Eng.Now(), ctx.Err())
 	}
 	if !finished {
-		if m.pending() == 0 {
+		if m.Eng.Pending() == 0 {
 			return Results{}, fmt.Errorf("system: %s deadlocked at cycle %d (event queue drained mid-phase)",
-				m.bench, m.now())
+				m.bench, m.Eng.Now())
 		}
 		return Results{}, fmt.Errorf("system: %s exceeded %d cycles", m.bench, maxCycles)
 	}
-	// Fold the per-shard counters into the root stats before the audits:
-	// flit conservation compares the sanitizer's books against the merged
-	// totals, and the energy model and results read them from m.St.
-	for _, sh := range m.Shards {
-		m.St.Merge(sh.St)
-		*sh.St = stats.Stats{}
-	}
 	// Conservation audits only make sense on a fully drained machine: a
 	// horizon break leaves legitimate in-flight messages behind.
-	if m.pending() == 0 {
+	if m.Eng.Pending() == 0 {
 		m.Audit()
 	}
-	m.St.Cycles = uint64(m.now())
+	m.St.Cycles = uint64(m.Eng.Now())
 	energy.Apply(m.St, m.Cfg)
 	if m.Tr != nil {
 		m.Tr.FinishRun(m.St.Cycles)

@@ -9,6 +9,7 @@ import (
 	"streamfloat/internal/stats"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/workload"
 )
 
@@ -311,5 +312,21 @@ func TestSFImprovesLoadLatency(t *testing.T) {
 	sfStats, baseStats := sf.Stats, base.Stats
 	if fast(&sfStats) <= fast(&baseStats) {
 		t.Errorf("SF fast loads %d not above Base %d", fast(&sfStats), fast(&baseStats))
+	}
+}
+
+// TestFullMeshCancellation: a cancelled context stops a default-size (8x8,
+// 64-tile) run with the sanitizer off — the path sfexp and sfserve take —
+// and reports the cancellation.
+func TestFullMeshCancellation(t *testing.T) {
+	cfg, err := config.ForSystem("SF", config.OOO8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sanitize = sanitize.ModeOff
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunBenchmark(ctx, cfg, "mv", 0.02); err == nil {
+		t.Fatal("cancelled 64-tile run must report an error")
 	}
 }

@@ -3,14 +3,14 @@
 #
 # Runs the Go benchmarks with -benchmem and writes both the raw `go test`
 # output (results/bench_<idx>.txt, benchstat-compatible) and a parsed JSON
-# summary (BENCH_<idx>.json) with mean ns/op, B/op, allocs/op and the headline
-# figure metrics each benchmark reports.
+# summary (BENCH_<idx>.json) with the host (cpu, goos/goarch, GOMAXPROCS),
+# mean ns/op, B/op, allocs/op and the headline figure metrics each benchmark
+# reports. Compare points only when their hosts match.
 #
 # Usage:
 #   scripts/bench.sh                 # next index, full suite, count=5
 #   scripts/bench.sh 2               # explicit index
 #   scripts/bench.sh 2 'Fig13|SingleRun|ScheduleFire' 5
-#   scripts/bench.sh 4 'Fig13Workers' 3   # parallel-kernel scaling (1/2/4 workers)
 #
 # Compare two trajectory points (or use benchstat on the raw files):
 #   go run ./scripts/benchjson -compare BENCH_1.json BENCH_2.json

@@ -19,9 +19,22 @@ import (
 
 // Summary is one point of the BENCH trajectory.
 type Summary struct {
+	// Host identifies the machine the benchmarks ran on. Points are only
+	// comparable when their hosts match.
+	Host Host `json:"host"`
 	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to its
 	// aggregated result across -count runs.
 	Benchmarks map[string]*Result `json:"benchmarks"`
+}
+
+// Host is the benchmark host as `go test -bench` reports it: the goos,
+// goarch and cpu header lines, and GOMAXPROCS from the benchmark-name suffix
+// (which go test omits when GOMAXPROCS is 1).
+type Host struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 }
 
 // Result aggregates one benchmark's runs by arithmetic mean.
@@ -92,11 +105,22 @@ func parseFile(path string) (*Summary, error) {
 		metricRunCounts map[string]int
 	}
 	accs := map[string]*acc{}
+	var host Host
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
+		if k, v, ok := strings.Cut(line, ": "); ok {
+			switch k {
+			case "cpu":
+				host.CPU = v
+			case "goos":
+				host.GOOS = v
+			case "goarch":
+				host.GOARCH = v
+			}
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -105,12 +129,13 @@ func parseFile(path string) (*Summary, error) {
 		if len(fields) < 4 {
 			continue
 		}
-		name := fields[0]
+		name, procs := fields[0], 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
 		}
+		host.GOMAXPROCS = procs
 		a := accs[name]
 		if a == nil {
 			a = &acc{metrics: map[string]float64{}, metricRunCounts: map[string]int{}}
@@ -148,7 +173,7 @@ func parseFile(path string) (*Summary, error) {
 		return nil, fmt.Errorf("no benchmark lines found in %s", path)
 	}
 
-	s := &Summary{Benchmarks: map[string]*Result{}}
+	s := &Summary{Host: host, Benchmarks: map[string]*Result{}}
 	for name, a := range accs {
 		n := float64(a.runs)
 		r := &Result{
@@ -168,6 +193,14 @@ func parseFile(path string) (*Summary, error) {
 		s.Benchmarks[name] = r
 	}
 	return s, nil
+}
+
+func (h Host) String() string {
+	cpu := h.CPU
+	if cpu == "" {
+		cpu = "cpu unrecorded"
+	}
+	return fmt.Sprintf("%s, %s/%s, GOMAXPROCS=%d", cpu, h.GOOS, h.GOARCH, h.GOMAXPROCS)
 }
 
 // compareFiles prints a benchstat-like delta table between two summaries.
@@ -190,6 +223,10 @@ func compareFiles(oldPath, newPath string) error {
 	newS, err := load(newPath)
 	if err != nil {
 		return err
+	}
+	if oldS.Host != newS.Host {
+		fmt.Fprintf(os.Stderr, "benchjson: WARNING: different hosts, timings are not comparable:\n  old %s\n  new %s\n",
+			oldS.Host, newS.Host)
 	}
 
 	var names []string
